@@ -869,7 +869,6 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 		bf1, bs1 := s.batchFrames, s.batchSegs
 		elapsed := t.Now() - t0
 
-		res.Mbps = float64(b1-b0) * 8 * 1e3 / float64(elapsed)
 		if pk1 > pk0 {
 			res.OOOPct = 100 * float64(oo1-oo0) / float64(pk1-pk0)
 			res.Packets = pk1 - pk0
@@ -881,6 +880,7 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 			}
 		}
 		if elapsed > 0 {
+			res.Mbps = float64(b1-b0) * 8 * 1e3 / float64(elapsed)
 			res.LockWaitFrac = float64(w1-w0) / float64(elapsed*int64(cfg.Procs))
 		}
 		res.BatchFrames = bf1 - bf0
@@ -894,13 +894,20 @@ func (s *Stack) Run(warmupNs, measureNs int64) (RunResult, error) {
 	return res, runErr
 }
 
-// snapshotOrder gathers ordering counters: (TCP data segs, TCP OOO
-// segs, wire OOO, wire segs). Steered runs measure ordering at the
-// workload sink instead.
+// snapshotOrder gathers ordering counters: (data packets, OOO packets,
+// wire OOO, wire segs). Data packets are TCP data segments; on UDP they
+// are the datagrams the driver consumed (send side) or the application
+// received (receive side), with no OOO count (UDP does not track
+// order). Steered runs measure ordering at the workload sink instead.
 func (s *Stack) snapshotOrder() (int64, int64, int64, int64) {
-	if s.steerSink != nil {
+	switch {
+	case s.steerSink != nil:
 		data, ooo := s.steerSink.Order()
 		return data, ooo, 0, 0
+	case s.udpSink != nil:
+		return s.udpSink.Packets(), 0, 0, 0
+	case s.Cfg.Proto == ProtoUDP:
+		return s.Sink.Packets(), 0, 0, 0
 	}
 	var data, ooo, wireOOO, wireSegs int64
 	for _, tcb := range s.tcbs {

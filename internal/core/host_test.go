@@ -163,3 +163,25 @@ func TestBackendSimIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestHostTCPRecvTwoPumps runs TCP receive on two host pumps for long
+// enough that both carry the stack's acks into the sending driver, so
+// the race detector sees every driver field the two pumps share.
+func TestHostTCPRecvTwoPumps(t *testing.T) {
+	cfg := hostConfig(ProtoTCP, SideRecv, sim.KindMCS, 2, 1)
+	var last RunResult
+	for attempt := 0; attempt < 3; attempt++ {
+		st, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err = st.Run(5_000_000, 100_000_000) // 5 ms + 100 ms wall
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts := st.TCP.Stats(); last.Packets > 0 && ts.AcksOut > 1 {
+			return
+		}
+	}
+	t.Errorf("no acked traffic in 3 attempts: %+v", last)
+}

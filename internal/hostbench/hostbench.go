@@ -104,7 +104,7 @@ func benchEngineHandoff(b *testing.B) {
 }
 
 // benchEngineHandoffPingPong: two threads in lockstep, so every
-// scheduling decision parks one goroutine and resumes the other.
+// scheduling decision parks one thread's coroutine and resumes the other.
 func benchEngineHandoffPingPong(b *testing.B) {
 	e := sim.New(cost.NewModel(cost.Challenge100), 1)
 	per := b.N/2 + 1

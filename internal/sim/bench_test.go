@@ -23,10 +23,10 @@ func BenchmarkEngineSyncHandoff(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineHandoffPingPong forces a genuine goroutine-to-goroutine
+// BenchmarkEngineHandoffPingPong forces a genuine thread-to-thread
 // handoff on every scheduling decision: two threads advance in lockstep,
-// so each Sync parks the yielder and resumes the peer (no same-thread
-// fast path).
+// so each Sync parks the yielder and the driver resumes the peer (no
+// same-thread fast path).
 func BenchmarkEngineHandoffPingPong(b *testing.B) {
 	e := New(cost.NewModel(cost.Challenge100), 1)
 	per := b.N/2 + 1

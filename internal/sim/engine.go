@@ -1,9 +1,11 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation of a
 // shared-memory multiprocessor, the substrate on which the parallelized
 // protocol stacks of this repository execute.
 //
 // The model: P virtual processors each run one protocol thread (the paper
-// wires one IRIX thread per CPU). Threads are goroutines, but the engine
+// wires one IRIX thread per CPU). Threads are coroutines, and the engine
 // resumes exactly one at a time — always the runnable thread with the
 // smallest virtual clock — so execution is sequential, race-free and
 // reproducible. Protocol code is real; only time is virtual: threads
@@ -36,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"strings"
@@ -78,10 +81,9 @@ func (s threadState) String() string {
 // passes implicitly: per-processor resource caches and map-manager
 // counting locks key off Thread.Proc.
 //
-// Thread structs (and their worker goroutines and resume channels) are
-// pooled by the engine: when a thread's body returns, the struct parks
-// on a free list and the next Spawn reuses it instead of allocating a
-// new goroutine, stack and channel.
+// Thread structs (and their worker coroutines) are pooled by the
+// engine: when a thread's body returns, the struct parks on a free list
+// and the next Spawn reuses it instead of allocating a new coroutine.
 type Thread struct {
 	eng  *Engine
 	name string
@@ -95,21 +97,23 @@ type Thread struct {
 	vt      int64 // local virtual clock, ns
 	pushSeq int64 // FIFO tiebreak among equal clocks
 	state   threadState
-	resume  chan struct{} // capacity 1; the single reused handoff channel
+	resume  chan struct{} // host backend only: capacity-1 wake channel
+
+	// next resumes the worker coroutine (called by the RunUntil driver
+	// only); stop ends it. park, the coroutine's yield, suspends it and
+	// reports false once stop has been called.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
 
 	// fn is the thread body for the current (or next) life of this
-	// struct's worker goroutine; nil while parked on the free list, and
-	// a nil fn on resume tells the worker to exit (pool shutdown).
+	// struct's worker coroutine; nil while parked on the free list.
 	fn func(*Thread)
 
 	rng Rand
 
 	// blockReason aids deadlock dumps.
 	blockReason string
-
-	// panicVal carries a panic from the thread goroutine to the Run
-	// caller.
-	panicVal any
 }
 
 // drainSignal unwinds a parked thread's stack during Engine.Drain. It
@@ -118,15 +122,13 @@ type drainSignal struct{}
 
 // Engine is the discrete-event scheduler.
 //
-// Scheduling uses direct parked-goroutine handoff: the goroutine that
-// is giving up control (a yielding thread, a finishing thread, or the
-// RunUntil driver) picks the next runnable thread itself and resumes it
-// over that thread's single reused channel, then parks on its own. One
-// channel operation pair per context switch — and none at all when the
-// yielding thread is still the minimum and simply keeps running. The
-// engine's state stays serialized: exactly one goroutine holds the
-// scheduling token at any moment, and every handoff is a channel
-// operation, so the serialization is also a happens-before edge.
+// Each thread runs as a coroutine (iter.Pull) and RunUntil is the
+// driver loop that resumes the chosen one. The thread giving up control
+// makes the scheduling decision itself: if it is still the minimum it
+// simply keeps running, otherwise it records its successor in cur and
+// parks, and the driver resumes cur — two coroutine switches per
+// handoff, with no trip through the Go scheduler. Exactly one coroutine
+// runs at any moment, and every switch is a happens-before edge.
 type Engine struct {
 	C *cost.Model
 
@@ -141,21 +143,19 @@ type Engine struct {
 
 	// limit is the active RunUntil bound (-1 when unbounded).
 	limit int64
-	// stopC wakes the RunUntil driver: all threads done, limit reached,
-	// deadlock, or a thread panic. Exactly one signal per Run.
-	stopC chan struct{}
-	// stopPanic carries a deadlock dump or thread panic to the driver.
+	// stopped ends the RunUntil driver loop: all threads done, limit
+	// reached, or deadlock.
+	stopped bool
+	// stopPanic carries a deadlock dump to the driver.
 	stopPanic any
 	// threads registers every Thread struct ever spawned (live, parked
-	// and pooled); Drain walks it to release parked goroutines.
+	// and pooled); Drain walks it to release parked coroutines.
 	threads []*Thread
 	// free is the pool of done threads whose workers are parked awaiting
 	// another Spawn.
 	free []*Thread
-	// draining makes every resumed thread unwind via drainSignal.
+	// draining makes a thread that tries to park unwind via drainSignal.
 	draining bool
-	// drainC acknowledges one unwound thread per Drain step.
-	drainC chan struct{}
 
 	// Trace, when non-nil, receives one line per scheduling decision;
 	// used by tests.
@@ -203,11 +203,9 @@ func NewBackend(model *cost.Model, seed uint64, backend Backend) *Engine {
 		model = cost.NewModel(cost.Challenge100)
 	}
 	e := &Engine{
-		C:      model,
-		stopC:  make(chan struct{}, 1),
-		drainC: make(chan struct{}),
-		limit:  -1,
-		rng:    NewRand(seed),
+		C:     model,
+		limit: -1,
+		rng:   NewRand(seed),
 	}
 	if backend == BackendHost {
 		e.host = &hostEngine{epoch: time.Now()}
@@ -226,7 +224,7 @@ func (e *Engine) Now() int64 {
 
 // Spawn creates a thread bound to processor proc and schedules it at the
 // current virtual time. It may be called before Run or from a running
-// thread. Thread structs and worker goroutines are reused from the
+// thread. Thread structs and worker coroutines are reused from the
 // engine's pool when available.
 func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 	if h := e.host; h != nil {
@@ -257,24 +255,22 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 		t.vt = e.now
 		t.state = stateNew
 		t.blockReason = ""
-		t.panicVal = nil
 		t.ID = e.nextID
 		t.rng = NewRand(e.rng.Uint64())
 		t.fn = fn
 	} else {
 		t = &Thread{
-			eng:    e,
-			name:   name,
-			ID:     e.nextID,
-			Proc:   proc,
-			vt:     e.now,
-			state:  stateNew,
-			resume: make(chan struct{}, 1),
-			rng:    NewRand(e.rng.Uint64()),
-			fn:     fn,
+			eng:   e,
+			name:  name,
+			ID:    e.nextID,
+			Proc:  proc,
+			vt:    e.now,
+			state: stateNew,
+			rng:   NewRand(e.rng.Uint64()),
+			fn:    fn,
 		}
 		e.threads = append(e.threads, t)
-		go e.worker(t)
+		t.next, t.stop = iter.Pull(e.worker(t))
 	}
 	e.nextID++
 	e.live++
@@ -282,93 +278,84 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 	return t
 }
 
-// worker is the long-lived goroutine behind a Thread struct. Each
-// iteration is one thread lifetime: park until resumed, run the body,
-// retire to the pool. A resume with a nil body is the pool-shutdown
-// signal.
-func (e *Engine) worker(t *Thread) {
-	for {
-		<-t.resume
-		if t.fn == nil {
-			return // pool released
+// worker is the coroutine behind a Thread struct. Each iteration is
+// one thread lifetime: run the body, retire to the pool, hand the token
+// on, then park until Spawn reuses the struct. stop (pool release or
+// Drain) ends the coroutine.
+func (e *Engine) worker(t *Thread) iter.Seq[struct{}] {
+	return func(park func(struct{}) bool) {
+		t.park = park
+		for {
+			if !e.call(t) {
+				e.handoff()
+			}
+			if !park(struct{}{}) {
+				return
+			}
 		}
-		if e.draining {
-			// Spawned but never started: nothing to unwind.
-			e.retire(t)
-			e.drainC <- struct{}{}
-			continue
-		}
-		drained := e.call(t)
-		e.retire(t)
-		if drained {
-			e.drainC <- struct{}{}
-			continue
-		}
-		e.finish(t)
 	}
 }
 
-// call runs the thread body, capturing panics. A drainSignal panic
-// (from Drain unwinding the stack) is absorbed, not recorded.
+// call runs the thread body and retires t. A drainSignal panic (from
+// Drain unwinding the stack) is absorbed. Any other panic is re-raised:
+// it ends the coroutine and reaches the RunUntil caller through next,
+// so t leaves the engine without returning to the pool.
 func (e *Engine) call(t *Thread) (drained bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(drainSignal); ok {
-				drained = true
-			} else {
-				t.panicVal = r
-			}
+		r := recover()
+		_, drained = r.(drainSignal)
+		e.retire(t, r == nil || drained)
+		if r != nil && !drained {
+			panic(r)
 		}
 	}()
 	t.fn(t)
 	return false
 }
 
-// retire marks t done and parks its struct on the free list for reuse.
-func (e *Engine) retire(t *Thread) {
+// retire marks t done and, if pool is set, parks its struct on the free
+// list for reuse.
+func (e *Engine) retire(t *Thread, pool bool) {
 	t.state = stateDone
 	t.fn = nil
 	e.live--
-	e.free = append(e.free, t)
+	if pool {
+		e.free = append(e.free, t)
+	}
 }
 
-// finish hands the scheduling token onward after a thread body returns:
-// forward a panic to the driver, declare completion, or dispatch the
-// next runnable thread.
-func (e *Engine) finish(t *Thread) {
-	if t.panicVal != nil {
-		// Re-raise the thread's panic on the Run caller's goroutine so
-		// library users (and tests) can recover it.
-		e.stopPanic = t.panicVal
-		t.panicVal = nil
-		e.signalStop()
-		return
+// handoff chooses the thread the driver resumes next, or stops the
+// driver when no thread is live.
+func (e *Engine) handoff() {
+	e.stopped = e.live == 0
+	if !e.stopped {
+		e.step(nil)
 	}
-	if e.live == 0 {
-		e.signalStop()
-		return
-	}
-	e.step(nil)
 }
 
 // step makes one scheduling decision while holding the token: pop the
-// minimum-clock runnable thread and resume it. self, when non-nil, is
-// the calling thread; if it is itself the minimum, step returns true
-// and the caller keeps running with no handoff at all. When the
-// simulation cannot proceed (limit reached, deadlock), the driver is
-// woken instead and step returns false; the caller then parks.
+// minimum-clock runnable thread and dispatch it. self, when non-nil, is
+// the calling thread; step reports whether it is itself the minimum and
+// keeps running. When the simulation cannot proceed (limit reached,
+// deadlock), the driver is stopped instead.
 func (e *Engine) step(self *Thread) bool {
 	next := e.pop()
 	if next == nil {
 		e.stopPanic = "sim: deadlock — all threads blocked\n" + e.dump()
-		e.signalStop()
+		e.stopped = true
 		return false
 	}
 	if e.limit >= 0 && next.vt > e.limit {
 		e.push(next)
-		e.signalStop()
+		e.stopped = true
 		return false
 	}
+	e.dispatch(next)
+	return next == self
+}
+
+// dispatch makes next the running thread at its virtual time.
+func (e *Engine) dispatch(next *Thread) {
 	if next.vt > e.now {
 		e.now = next.vt
 	} else {
@@ -382,16 +369,6 @@ func (e *Engine) step(self *Thread) bool {
 	if e.Trace != nil {
 		e.Trace(fmt.Sprintf("t=%d run %s", e.now, next.name))
 	}
-	if next == self {
-		return true
-	}
-	next.resume <- struct{}{}
-	return false
-}
-
-// signalStop wakes the RunUntil driver (buffered; never blocks).
-func (e *Engine) signalStop() {
-	e.stopC <- struct{}{}
 }
 
 // Run drives the simulation until every thread has terminated. It panics
@@ -404,10 +381,11 @@ func (e *Engine) Run() {
 // virtual clock would pass limit (limit < 0 means no limit). It returns
 // the number of live threads remaining.
 //
-// When it returns non-zero, the remaining threads stay parked on their
-// goroutines; resume them with another RunUntil, or release them with
+// When it returns non-zero, the remaining threads stay parked in their
+// coroutines; resume them with another RunUntil, or release them with
 // Drain. When it returns zero the worker pool is released, so a
-// completed engine holds no goroutines.
+// completed engine holds no goroutines. A panic in a thread body is
+// re-raised here with its original value.
 func (e *Engine) RunUntil(limit int64) int {
 	if h := e.host; h != nil {
 		if limit >= 0 {
@@ -423,13 +401,12 @@ func (e *Engine) RunUntil(limit int64) int {
 	defer func() { e.started = false }()
 
 	e.limit = limit
-	if e.live > 0 {
-		e.step(nil)
-		<-e.stopC
-		if p := e.stopPanic; p != nil {
-			e.stopPanic = nil
-			panic(p)
-		}
+	for e.handoff(); !e.stopped; {
+		e.cur.next()
+	}
+	if p := e.stopPanic; p != nil {
+		e.stopPanic = nil
+		panic(p)
 	}
 	if e.live == 0 {
 		e.releasePool()
@@ -440,7 +417,7 @@ func (e *Engine) RunUntil(limit int64) int {
 
 // Drain releases every thread still parked in the engine — the threads
 // a limit-truncated RunUntil left behind — by unwinding their stacks,
-// then shuts down the pooled worker goroutines. After Drain the engine
+// then shuts down the pooled worker coroutines. After Drain the engine
 // holds no goroutines; it remains usable (new Spawns start fresh
 // workers). It must not be called while Run is in progress, nor from a
 // simulated thread.
@@ -456,8 +433,10 @@ func (e *Engine) Drain() {
 		if t.state == stateDone {
 			continue
 		}
-		t.resume <- struct{}{}
-		<-e.drainC
+		t.stop() // a parked body unwinds through drainSignal and retires
+		if t.state != stateDone {
+			e.retire(t, false) // spawned but never ran
+		}
 	}
 	e.draining = false
 	e.heap = e.heap[:0]
@@ -465,11 +444,11 @@ func (e *Engine) Drain() {
 	e.releasePool()
 }
 
-// releasePool exits the worker goroutines of all pooled done threads.
+// releasePool ends the worker coroutines of all pooled done threads.
 // Their structs stay registered; a later Spawn starts new workers.
 func (e *Engine) releasePool() {
 	for i, t := range e.free {
-		t.resume <- struct{}{} // fn == nil: worker exits
+		t.stop()
 		e.free[i] = nil
 	}
 	e.free = e.free[:0]
@@ -607,11 +586,12 @@ func (t *Thread) ChargeBytes(rate float64, n int) {
 	t.Charge(cost.Bytes(rate, n))
 }
 
-// yield gives up control: the thread parks its own state, picks the
-// next runnable thread itself and resumes it directly, then waits on
-// its single reused channel. When the yielding thread is still the
-// minimum-clock runnable thread, no handoff (and no channel operation)
-// happens at all — it just keeps running.
+// yield gives up control: the thread records its own state and makes
+// the next scheduling decision itself. When it is still the
+// minimum-clock runnable thread it just keeps running — without even
+// touching the heap when it is strictly ahead of every other runnable
+// thread (a tie goes to the earlier push, so it must queue). Otherwise
+// it parks and the driver resumes the chosen thread.
 func (t *Thread) yield(s threadState) {
 	e := t.eng
 	if e.draining {
@@ -621,15 +601,15 @@ func (t *Thread) yield(s threadState) {
 		panic(drainSignal{})
 	}
 	t.state = s
+	if s == stateReady && (len(e.heap) == 0 || t.vt < e.heap[0].vt) && (e.limit < 0 || t.vt <= e.limit) {
+		e.dispatch(t)
+		return
+	}
 	if s == stateReady {
 		e.push(t)
 	}
-	if e.step(t) {
-		return // fast path: still the minimum, keep running
-	}
-	<-t.resume
-	if e.draining {
-		panic(drainSignal{})
+	if !e.step(t) && !t.park(struct{}{}) {
+		panic(drainSignal{}) // stopped by Drain while parked
 	}
 }
 
