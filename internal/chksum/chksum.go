@@ -1,26 +1,62 @@
 // Package chksum implements the Internet one's-complement checksum
-// (RFC 1071) with the loop structure of the fast portable UCSD algorithm
-// cited by the paper (Kay & Pasquale, USENIX Winter '93): wide unrolled
-// accumulation into a 64-bit register with deferred folding.
+// (RFC 1071) in the wide-accumulation style of the fast portable UCSD
+// algorithm cited by the paper (Kay & Pasquale, USENIX Winter '93).
+//
+// Partial loads the data as little-endian 64-bit words and adds them
+// into two independent add-with-carry chains (math/bits.Add64), unrolled
+// over 64 bytes so the two chains' carries never wait on each other. A
+// carry out of one add is fed into the next add of the same chain: that
+// is an end-around carry, and it is exact because 2^64 ≡ 1 (mod 0xffff).
+// For the same reason a 64-bit word is congruent to the sum of its four
+// 16-bit halves, so folding the chains down to 16 bits gives the
+// one's-complement sum of the data read as little-endian 16-bit words.
+// RFC 1071 §2(B) byte-order independence turns that into the big-endian
+// sum: swapping the bytes of every word swaps the bytes of the sum, so
+// one byte swap of the folded result (bits.ReverseBytes16) yields the
+// value the caller's big-endian accumulator expects. Fewer than eight
+// leftover bytes are added as big-endian 16-bit words, and an odd final
+// byte is padded with zero.
 //
 // The checksum is computed for real — protocol tests depend on actual
 // header and payload validation — while the virtual time it costs is
 // charged separately from the cost model by the protocol layers.
 package chksum
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Partial accumulates the unfolded checksum of data into sum. Data is
 // treated as a sequence of big-endian 16-bit words; an odd trailing byte
 // is padded with zero, which matches RFC 1071 when used on the final
 // fragment only (intermediate calls must pass even-length slices).
 func Partial(sum uint64, data []byte) uint64 {
-	i := 0
-	// Main unrolled loop: 4 words (8 bytes) per iteration.
-	for ; i+8 <= len(data); i += 8 {
-		sum += uint64(data[i])<<8 | uint64(data[i+1])
-		sum += uint64(data[i+2])<<8 | uint64(data[i+3])
-		sum += uint64(data[i+4])<<8 | uint64(data[i+5])
-		sum += uint64(data[i+6])<<8 | uint64(data[i+7])
+	var a0, a1, c0, c1 uint64
+	for ; len(data) >= 64; data = data[64:] {
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(data[0:8]), c0)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(data[8:16]), c1)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(data[16:24]), c0)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(data[24:32]), c1)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(data[32:40]), c0)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(data[40:48]), c1)
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(data[48:56]), c0)
+		a1, c1 = bits.Add64(a1, binary.LittleEndian.Uint64(data[56:64]), c1)
 	}
+	for ; len(data) >= 8; data = data[8:] {
+		a0, c0 = bits.Add64(a0, binary.LittleEndian.Uint64(data), c0)
+	}
+	// Merge the chains and their pending carries, end-around.
+	a, c := bits.Add64(a0, a1, 0)
+	a, c = bits.Add64(a, c+c0+c1, 0)
+	a += c
+	// Reduce to 16 bits; each step preserves the value mod 0xffff.
+	a = a&0xffffffff + a>>32
+	a = a&0xffff + a>>16
+	a = a&0xffff + a>>16
+	a = a&0xffff + a>>16
+	sum += uint64(bits.ReverseBytes16(uint16(a)))
+	i := 0
 	for ; i+2 <= len(data); i += 2 {
 		sum += uint64(data[i])<<8 | uint64(data[i+1])
 	}

@@ -128,6 +128,6 @@ func BenchmarkSum4K(b *testing.B) {
 	}
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
-		Sum(data)
+		sink = Sum(data)
 	}
 }

@@ -97,7 +97,11 @@ func patchTCPAck(frame []byte, ack uint32) {
 	binary.BigEndian.PutUint32(frame[offTCP+8:offTCP+12], ack)
 }
 
-// parseFrameTCP extracts the TCP header from a full frame.
+// parseFrameTCP extracts the TCP header from a full frame. It rejects a
+// frame that is too short for the headers, does not carry TCP, or whose
+// IP total length is shorter than the IP and TCP headers or claims bytes
+// beyond the end of the frame; so when ok, 0 <= DLen <= len(frame) -
+// tcpFrameHdr.
 func parseFrameTCP(frame []byte) (tcp.WireSeg, bool) {
 	if len(frame) < tcpFrameHdr {
 		return tcp.WireSeg{}, false
@@ -105,8 +109,11 @@ func parseFrameTCP(frame []byte) (tcp.WireSeg, bool) {
 	if frame[offIP+9] != ip.ProtoTCP {
 		return tcp.WireSeg{}, false
 	}
-	s := tcp.ParseWireHeader(frame[offTCP:])
 	totLen := int(binary.BigEndian.Uint16(frame[offIP+2 : offIP+4]))
+	if totLen < ip.HdrLen+tcp.HdrLen || totLen > len(frame)-offIP {
+		return tcp.WireSeg{}, false
+	}
+	s := tcp.ParseWireHeader(frame[offTCP:])
 	s.DLen = totLen - ip.HdrLen - tcp.HdrLen
 	return s, true
 }

@@ -136,8 +136,10 @@ func (d *SimTCPReceiver) TX(t *sim.Thread, m *msg.Message) error {
 	}
 	sg, ok := parseFrameTCP(frame)
 	if !ok {
+		// A frame that does not parse is dropped like a corrupt one.
+		atomic.AddInt64(&d.badSum, 1)
 		m.Free(t)
-		return fmt.Errorf("driver: non-TCP frame at SimTCPReceiver")
+		return nil
 	}
 	c := d.conns[uint32(sg.SPort)<<16|uint32(sg.DPort)]
 	if c == nil {
@@ -325,7 +327,9 @@ func (c *simRecvConn) park(s, e uint32) bool {
 	return true
 }
 
-// BadChecksums reports frames rejected by Strict-mode verification.
+// BadChecksums reports frames dropped as corrupt: rejected by
+// Strict-mode verification, or malformed (not TCP, too short, or an IP
+// total length that disagrees with the frame).
 func (d *SimTCPReceiver) BadChecksums() int64 { return atomic.LoadInt64(&d.badSum) }
 
 // inject builds an acknowledgement from the preconstructed template and

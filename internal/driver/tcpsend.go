@@ -33,6 +33,8 @@ type SimTCPSender struct {
 	conns    []*simSendConn
 	rexmtDup int64 // resends triggered by duplicate acks
 	rexmtTO  int64 // resends triggered by the Produce timeout
+
+	badFrames atomic.Int64 // malformed frames dropped by TX
 }
 
 // simSendConn per-connection state. estab/ackOff/rcvWnd are written by
@@ -118,8 +120,10 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 	}
 	sg, ok := parseFrameTCP(frame)
 	if !ok {
+		// A frame that does not parse is dropped like a corrupt one.
+		d.badFrames.Add(1)
 		m.Free(t)
-		return fmt.Errorf("driver: non-TCP frame at SimTCPSender")
+		return nil
 	}
 	m.Free(t)
 	var c *simSendConn
@@ -173,6 +177,10 @@ func (d *SimTCPSender) TX(t *sim.Thread, m *msg.Message) error {
 		return nil
 	}
 }
+
+// BadFrames reports frames TX dropped as malformed: not TCP, too short,
+// or an IP total length that disagrees with the frame.
+func (d *SimTCPSender) BadFrames() int64 { return d.badFrames.Load() }
 
 // Produce builds the next in-sequence data packet for connection conn,
 // waiting while the receiver's flow-control window is exhausted. It

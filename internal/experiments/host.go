@@ -22,15 +22,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Host-side windows are wall-clock nanoseconds, kept short: each point
+// Host-side windows are wall-clock nanoseconds, kept short: each window
 // occupies the machine exclusively (see submitPoint's host
-// serialization), so the sweep's cost is rungs x variants x the window.
+// serialization), so the sweep's cost is rungs x variants x rounds x the
+// window.
 const (
-	hostWarmupNs  = 2_000_000  // 2 ms real warm-up per point
-	hostMeasureNs = 40_000_000 // 40 ms real measurement per point
-	// A host point on an oversubscribed machine can lose its whole
-	// window to scheduler starvation (the goroutine holding the head-of-
-	// line segment never runs); such zero-throughput runs are retried.
+	hostWarmupNs  = 2_000_000  // 2 ms real warm-up per window
+	hostMeasureNs = 40_000_000 // 40 ms real measurement per window
+	// Each host point is the median of hostRounds windows. The rounds
+	// interleave the variants (ABCABC...) at each rung, so a burst of
+	// scheduler noise lands on every variant alike instead of deciding
+	// the ordering.
+	hostRounds = 5 // odd, so the median is one measured window
+	// A host window on an oversubscribed machine can be lost whole to
+	// scheduler starvation (the goroutine holding the head-of-line
+	// segment never runs); such zero-throughput runs are retried.
 	hostAttempts = 3
 )
 
@@ -190,27 +196,27 @@ func RunHostComparison(p Params) (HostComparison, error) {
 		return hc, nil
 	}
 
-	// Host half: real goroutines, wall-clock windows, one point at a
-	// time. One run per point — wall-clock numbers are nondeterministic
-	// regardless, and the claims made of them are ordinal.
-	for vi, v := range variants {
-		for n := 1; n <= maxP; n++ {
-			cfg := v.cfg(n)
-			cfg.Seed = p.Seed
-			cfg.Backend = sim.BackendHost
-			var mbps float64
-			for attempt := 0; attempt < hostAttempts; attempt++ {
-				rr, err := core.RunPoint(cfg, hostWarmupNs, hostMeasureNs)
+	// Host half: real goroutines, wall-clock windows, one window at a
+	// time, variants interleaved within each round.
+	for n := 1; n <= maxP; n++ {
+		rounds := make([][]float64, len(variants))
+		for r := 0; r < hostRounds; r++ {
+			for vi, v := range variants {
+				cfg := v.cfg(n)
+				cfg.Seed = p.Seed
+				cfg.Backend = sim.BackendHost
+				mbps, err := hostWindow(cfg)
 				if err != nil {
 					return hc, fmt.Errorf("ext-host host %s @%dp: %w", v.label, n, err)
 				}
-				if rr.Mbps > 0 {
-					mbps = rr.Mbps
-					break
-				}
+				rounds[vi] = append(rounds[vi], mbps)
 			}
-			hc.Variants[vi].Host = append(hc.Variants[vi].Host, mbps)
 		}
+		for vi := range variants {
+			hc.Variants[vi].Host = append(hc.Variants[vi].Host, median(rounds[vi]))
+		}
+	}
+	for vi := range hc.Variants {
 		hc.Variants[vi].HostKnee = knee(hc.Variants[vi].Host)
 	}
 	hc.HostOrder = orderAtTop(hc.Variants, func(v HostVariant) []float64 { return v.Host })
@@ -223,6 +229,29 @@ func RunHostComparison(p Params) (HostComparison, error) {
 		}
 	}
 	return hc, nil
+}
+
+// hostWindow measures one host-backend window, retrying a window that
+// starvation left at zero throughput; it returns zero only when every
+// attempt starved.
+func hostWindow(cfg core.Config) (float64, error) {
+	for attempt := 0; attempt < hostAttempts; attempt++ {
+		rr, err := core.RunPoint(cfg, hostWarmupNs, hostMeasureNs)
+		if err != nil {
+			return 0, err
+		}
+		if rr.Mbps > 0 {
+			return rr.Mbps, nil
+		}
+	}
+	return 0, nil
+}
+
+// median returns the middle element of xs, an odd-length slice of
+// hostRounds windows; it sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // agreementSummary renders the shape-agreement verdict as a text block
