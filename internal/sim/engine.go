@@ -30,10 +30,10 @@
 //
 // The engine is a dual-mode execution substrate. NewBackend with
 // BackendHost builds an engine whose threads are real goroutines, whose
-// locks delegate to sync-based implementations with wall-clock wait and
-// hold accounting, and whose Now() reads the host monotonic clock — the
-// same *Thread handle and Locker interfaces, so protocol code compiles
-// unchanged against either backend. See host.go for the rules.
+// locks take real spin or park mechanisms with the same wait and hold
+// accounting in wall-clock ns, and whose Now() reads the host monotonic
+// clock — the same *Thread handle and Locker interfaces, so protocol
+// code compiles unchanged against either backend. See host.go for the rules.
 package sim
 
 import (
@@ -42,6 +42,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -112,8 +113,10 @@ type Thread struct {
 
 	rng Rand
 
-	// blockReason aids deadlock dumps.
+	// blockReason and blockOn aid deadlock dumps: why the thread is
+	// blocked and, for a lock wait, the lock's name.
 	blockReason string
+	blockOn     string
 }
 
 // drainSignal unwinds a parked thread's stack during Engine.Drain. It
@@ -176,6 +179,12 @@ type Engine struct {
 	// spawns threads: runs are bit-identical with sampling on or off.
 	Tel *telemetry.Sampler
 
+	// mu guards state that threads share outside the virtual-time
+	// order: on the host backend, spawn bookkeeping (thread IDs, the
+	// spawn RNG stream); on both backends, the refcount pool
+	// assignment.
+	mu sync.Mutex
+
 	// refPool is the finite set of static global locks used for
 	// lock-based reference-count manipulation (RefLocked mode); the
 	// x-kernel/SICS systems used such a pool rather than a lock per
@@ -236,11 +245,11 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 			resume: make(chan struct{}, 1),
 			fn:     fn,
 		}
-		h.mu.Lock()
+		e.mu.Lock()
 		t.ID = e.nextID
 		e.nextID++
 		t.rng = NewRand(e.rng.Uint64())
-		h.mu.Unlock()
+		e.mu.Unlock()
 		h.wg.Add(1)
 		go h.run(t)
 		return t
@@ -254,7 +263,7 @@ func (e *Engine) Spawn(name string, proc int, fn func(*Thread)) *Thread {
 		t.Proc = proc
 		t.vt = e.now
 		t.state = stateNew
-		t.blockReason = ""
+		t.blockReason, t.blockOn = "", ""
 		t.ID = e.nextID
 		t.rng = NewRand(e.rng.Uint64())
 		t.fn = fn
@@ -534,8 +543,12 @@ func (e *Engine) dump() string {
 		if t.state == stateDone {
 			continue
 		}
+		reason := t.blockReason
+		if t.blockOn != "" {
+			reason += " " + t.blockOn
+		}
 		lines = append(lines, fmt.Sprintf("  %-24s proc=%d vt=%d state=%s reason=%s",
-			t.name, t.Proc, t.vt, t.state, t.blockReason))
+			t.name, t.Proc, t.vt, t.state, reason))
 	}
 	sort.Strings(lines)
 	b.WriteString(strings.Join(lines, "\n"))
@@ -627,16 +640,18 @@ func (t *Thread) Sync() {
 
 // Block parks the thread until another thread calls Engine.Wake on it.
 // reason appears in deadlock dumps.
-func (t *Thread) Block(reason string) {
+func (t *Thread) Block(reason string) { t.block(reason, "") }
+
+// block is Block for a wait on a named object: the dump shows reason
+// and on, which are joined only if the dump is taken.
+func (t *Thread) block(reason, on string) {
+	t.blockReason, t.blockOn = reason, on
 	if t.eng.host != nil {
-		t.blockReason = reason
 		<-t.resume
-		t.blockReason = ""
-		return
+	} else {
+		t.yield(stateBlocked)
 	}
-	t.blockReason = reason
-	t.yield(stateBlocked)
-	t.blockReason = ""
+	t.blockReason, t.blockOn = "", ""
 }
 
 // Sleep advances the clock by d and parks until the engine catches up.

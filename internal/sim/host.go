@@ -14,10 +14,20 @@ package sim
 //   - Charge/ChargeRand/ChargeBytes/Sync/Interfere are no-ops: time is
 //     not modeled, it elapses.
 //   - The lock kinds keep their structural identities — Mutex is an
-//     unfair compare-and-swap spin lock, MCSLock a FIFO queue lock with
-//     direct handoff, TicketLock an atomic ticket/serving pair — and
-//     their wait/hold accounting feeds the same LockStats fields, now
-//     measured in wall-clock ns.
+//     unfair compare-and-swap spin lock, MCSLock a FIFO queue lock that
+//     parks waiters and hands off directly, TicketLock an atomic
+//     ticket/serving pair — but record their events through the same
+//     lockCore observer calls as in sim mode (acquired once per
+//     acquisition, waited once per contended one, held once per
+//     release), so LockStats read identically, in wall-clock ns. Each
+//     call is made while the thread holds the lock; the counters are
+//     atomic so a snapshot may be taken mid-run.
+//   - A sync.Mutex that guards shared state on both backends
+//     (MCSLock.mu, Cond.mu, Sequencer.mu, Engine.mu) is never held
+//     across Sync, Block or any other yield: in sim mode a coroutine
+//     parked while holding one would leave the next thread that wants
+//     it blocking the engine's only running goroutine — a deadlock the
+//     engine cannot detect.
 //   - Run waits for every spawned goroutine to return. There is no
 //     deadlock detector and no virtual-time limit; RunUntil with a
 //     bound, and Drain, are simulation-only.
@@ -30,7 +40,6 @@ package sim
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,9 +69,6 @@ func (b Backend) String() string {
 type hostEngine struct {
 	epoch time.Time
 	wg    sync.WaitGroup
-	// mu guards spawn bookkeeping (thread IDs, the spawn RNG stream,
-	// the static refcount lock pool assignment).
-	mu sync.Mutex
 	// pinMax: spawned threads with Proc < pinMax are pinned to their
 	// logical CPU (0 disables pinning).
 	pinMax int
@@ -119,189 +125,112 @@ func hostSpin(spins int) {
 	}
 }
 
-// atomicMaxInt32 raises *m to at least v.
-func atomicMaxInt32(m *atomic.Int32, v int32) {
-	for {
-		old := m.Load()
-		if v <= old || m.CompareAndSwap(old, v) {
-			return
-		}
+// granted records, on the host backend, that t has just taken the lock
+// after trying since start behind queued waiters, itself included (0
+// and start unread when the lock was free).
+func (c *lockCore) granted(t *Thread, name string, start int64, queued int) {
+	c.acquired(t, queued)
+	if queued > 0 {
+		// Who held the lock when the wait began is not tracked on the
+		// host: reading it would race with the handoff.
+		c.waited(t, name, start, -1)
 	}
+	c.since = t.Now()
+}
+
+// endHold ends t's hold of a spinning host lock (Mutex, TicketLock);
+// the caller then frees the lock word.
+func (c *lockCore) endHold(t *Thread, kind LockKind, name string) {
+	c.checkHolder(t, kind, name)
+	c.held(t, name)
+	c.holder = nil
 }
 
 // ---- host Mutex: unfair CAS spin lock ----
 
-// hostMutex is the host-mode state embedded in Mutex: a word spun on
-// with compare-and-swap. Like the simulated test-and-set lock it is
-// deliberately unfair — whichever spinner's CAS lands first wins — so
-// the reordering phenomenology the paper studies survives the backend
-// swap.
-type hostMutex struct {
-	word    atomic.Int32
-	holder  atomic.Pointer[Thread]
-	since   atomic.Int64 // wall ns when acquired
-	waiting atomic.Int32
-	maxWait atomic.Int32
-}
-
+// hostAcquire spins on the lock word with compare-and-swap. Like the
+// simulated test-and-set lock it is deliberately unfair — whichever
+// spinner's CAS lands first wins — so the reordering phenomenology the
+// paper studies survives the backend swap.
 func (m *Mutex) hostAcquire(t *Thread) {
-	h := t.eng.host
-	atomic.AddInt64(&m.stats.Acquires, 1)
-	if m.hm.word.CompareAndSwap(0, 1) {
-		m.hm.holder.Store(t)
-		m.hm.since.Store(h.now())
-		return
+	var start int64
+	queued := 0
+	if !m.word.CompareAndSwap(0, 1) {
+		start = t.Now()
+		queued = int(m.spinning.Add(1))
+		for spins := 0; !m.word.CompareAndSwap(0, 1); spins++ {
+			hostSpin(spins)
+		}
+		m.spinning.Add(-1)
 	}
-	atomic.AddInt64(&m.stats.Contended, 1)
-	atomicMaxInt32(&m.hm.maxWait, m.hm.waiting.Add(1))
-	start := h.now()
-	spins := 0
-	for !m.hm.word.CompareAndSwap(0, 1) {
-		hostSpin(spins)
-		spins++
-	}
-	m.hm.waiting.Add(-1)
-	m.hm.holder.Store(t)
-	now := h.now()
-	atomic.AddInt64(&m.stats.WaitNs, now-start)
-	m.hm.since.Store(now)
+	m.holder = t
+	m.granted(t, m.Name, start, queued)
 }
 
 func (m *Mutex) hostRelease(t *Thread) {
-	if m.hm.holder.Load() != t {
-		panic("sim: Mutex.Release by non-holder: " + m.Name)
-	}
-	atomic.AddInt64(&m.stats.HoldNs, t.eng.host.now()-m.hm.since.Load())
-	m.hm.holder.Store(nil)
-	m.hm.word.Store(0)
+	m.endHold(t, KindMutex, m.Name)
+	m.word.Store(0)
 }
 
-// ---- host MCSLock: FIFO queue lock with direct handoff ----
+// ---- host MCSLock: FIFO parking with direct handoff ----
 
-type hostMCSWaiter struct {
-	ch chan struct{}
-	t  *Thread
+// hostAcquire takes the lock if it is free, else queues and parks on
+// the thread's resume channel until the releaser makes it the holder,
+// so grants are strictly FIFO like the simulated MCS lock. mu guards
+// holder and queue and is never held across the park.
+func (m *MCSLock) hostAcquire(t *Thread) {
+	var start int64
+	queued := 0
+	m.mu.Lock()
+	if m.holder == nil {
+		m.holder = t
+	} else {
+		start = t.Now()
+		m.queue = append(m.queue, t)
+		queued = len(m.queue)
+	}
+	m.mu.Unlock()
+	if queued > 0 {
+		t.block(KindMCS.String(), m.Name)
+	}
+	m.granted(t, m.Name, start, queued)
 }
 
-// hostMCS is the host-mode state embedded in MCSLock and TicketLock's
-// FIFO cousin: an internal mutex guards a waiter queue; release hands
-// ownership directly to the queue head by closing its channel, so
-// grants are strictly FIFO like the simulated MCS lock.
-type hostMCS struct {
-	mu      sync.Mutex
-	held    bool
-	holder  *Thread
-	since   int64
-	queue   []*hostMCSWaiter
-	maxWait int
-}
-
-func (q *hostMCS) acquire(t *Thread, stats *LockStats, name string) {
-	h := t.eng.host
-	atomic.AddInt64(&stats.Acquires, 1)
-	q.mu.Lock()
-	if !q.held {
-		q.held = true
-		q.holder = t
-		q.since = h.now()
-		q.mu.Unlock()
-		return
+func (m *MCSLock) hostRelease(t *Thread) {
+	m.mu.Lock()
+	if m.holder != t {
+		m.mu.Unlock()
+		panic(nonHolder(t, KindMCS, m.Name))
 	}
-	atomic.AddInt64(&stats.Contended, 1)
-	w := &hostMCSWaiter{ch: make(chan struct{}), t: t}
-	q.queue = append(q.queue, w)
-	if n := len(q.queue); n > q.maxWait {
-		q.maxWait = n
+	m.held(t, m.Name)
+	var w *Thread
+	if len(m.queue) > 0 {
+		w = takeAt(&m.queue, 0)
 	}
-	start := h.now()
-	q.mu.Unlock()
-	<-w.ch // direct handoff: the releaser installed us as holder
-	atomic.AddInt64(&stats.WaitNs, h.now()-start)
-}
-
-func (q *hostMCS) release(t *Thread, stats *LockStats, name string) {
-	h := t.eng.host
-	q.mu.Lock()
-	if !q.held || q.holder != t {
-		q.mu.Unlock()
-		panic("sim: Release by non-holder: " + name)
+	m.holder = w
+	m.mu.Unlock()
+	if w != nil {
+		w.hostWake()
 	}
-	now := h.now()
-	atomic.AddInt64(&stats.HoldNs, now-q.since)
-	if len(q.queue) == 0 {
-		q.held = false
-		q.holder = nil
-		q.mu.Unlock()
-		return
-	}
-	w := q.queue[0]
-	q.queue = q.queue[1:]
-	q.holder = w.t
-	q.since = now
-	q.mu.Unlock()
-	close(w.ch)
-}
-
-func (q *hostMCS) holderIs(t *Thread) bool {
-	q.mu.Lock()
-	ok := q.held && q.holder == t
-	q.mu.Unlock()
-	return ok
 }
 
 // ---- host TicketLock: atomic ticket/serving pair ----
 
-type hostTicket struct {
-	next    atomic.Int64
-	serving atomic.Int64
-	holder  atomic.Pointer[Thread]
-	since   atomic.Int64
-	maxWait atomic.Int32
-}
-
-func (q *hostTicket) acquire(t *Thread, stats *LockStats) {
-	h := t.eng.host
-	atomic.AddInt64(&stats.Acquires, 1)
-	ticket := q.next.Add(1) - 1
-	if s := q.serving.Load(); s != ticket {
-		atomic.AddInt64(&stats.Contended, 1)
-		if w := ticket - s; w > 0 {
-			atomicMaxInt32(&q.maxWait, int32(w))
-		}
-		start := h.now()
-		spins := 0
-		for q.serving.Load() != ticket {
+func (l *TicketLock) hostAcquire(t *Thread) {
+	var start int64
+	ticket := l.next.Add(1) - 1
+	queued := int(ticket - l.serving.Load())
+	if queued > 0 {
+		start = t.Now()
+		for spins := 0; l.serving.Load() != ticket; spins++ {
 			hostSpin(spins)
-			spins++
 		}
-		atomic.AddInt64(&stats.WaitNs, h.now()-start)
 	}
-	q.holder.Store(t)
-	q.since.Store(h.now())
+	l.holder = t
+	l.granted(t, l.Name, start, queued)
 }
 
-func (q *hostTicket) release(t *Thread, stats *LockStats, name string) {
-	if q.holder.Load() != t {
-		panic("sim: TicketLock.Release by non-holder: " + name)
-	}
-	atomic.AddInt64(&stats.HoldNs, t.eng.host.now()-q.since.Load())
-	q.holder.Store(nil)
-	q.serving.Add(1)
-}
-
-// loadStats snapshots a LockStats updated with atomic adds (host mode)
-// or plain engine-serialized increments (sim mode); both are safe to
-// read this way.
-func loadStats(s *LockStats, hostMaxWait int) LockStats {
-	out := LockStats{
-		Acquires:   atomic.LoadInt64(&s.Acquires),
-		Contended:  atomic.LoadInt64(&s.Contended),
-		WaitNs:     atomic.LoadInt64(&s.WaitNs),
-		HoldNs:     atomic.LoadInt64(&s.HoldNs),
-		MaxWaiters: s.MaxWaiters,
-	}
-	if hostMaxWait > out.MaxWaiters {
-		out.MaxWaiters = hostMaxWait
-	}
-	return out
+func (l *TicketLock) hostRelease(t *Thread) {
+	l.endHold(t, KindTicket, l.Name)
+	l.serving.Add(1)
 }

@@ -4,6 +4,17 @@ package sim
 // modeled explicitly so that the ordering phenomena the paper studies —
 // unfair locks reordering contending threads, FIFO MCS locks preserving
 // order — emerge from the same mechanisms as on real hardware.
+//
+// The three kinds share one core (lockCore): its state, its sim-mode
+// acquire/release skeleton, and the three observer methods that record
+// every lock event. A kind supplies only its acquire charge, how the
+// next holder is picked and when it is granted, and its host-backend
+// mechanism (host.go).
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Locker is the interface shared by all simulated lock kinds.
 type Locker interface {
@@ -32,15 +43,179 @@ func (s LockStats) WaitFraction(totalNs int64) float64 {
 	return float64(s.WaitNs) / float64(totalNs)
 }
 
-// chargeLine charges t a coherence penalty when a shared cache line was
-// last touched by another processor. Sync-bus machines do not pay this
-// for synchronization traffic.
-func chargeLine(t *Thread, lastProc *int) {
+// lineOwner is the processor that last touched a shared cache line,
+// stored as proc+1 so that the zero value means "untouched".
+type lineOwner int32
+
+// touch charges t a coherence penalty when the line was last touched by
+// another processor, and moves the line to t's processor. Sync-bus
+// machines do not pay this for synchronization traffic; on the host
+// backend coherence is real and touch does nothing.
+func (o *lineOwner) touch(t *Thread) {
+	if t.eng.host != nil {
+		return
+	}
 	s := &t.eng.C.Sync
-	if !s.SyncBus && *lastProc >= 0 && *lastProc != t.Proc {
+	if !s.SyncBus && *o != 0 && *o != lineOwner(t.Proc+1) {
 		t.Charge(s.Coherence)
 	}
-	*lastProc = t.Proc
+	*o = lineOwner(t.Proc + 1)
+}
+
+// takeAt removes and returns (*q)[i], keeping the order of the rest
+// and reusing the backing array, so a steady queue never reallocates.
+func takeAt(q *[]*Thread, i int) *Thread {
+	s := *q
+	w := s[i]
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	*q = s[:len(s)-1]
+	return w
+}
+
+// lockCore is the state every lock kind embeds. Its observer methods —
+// acquired, waited and held — are the only code that records lock
+// events: into the statistics, the flight recorder (Engine.Rec) and the
+// telemetry sampler (Engine.Tel). Both backends call them. The counters
+// are atomic so host-backend code may snapshot Stats mid-run.
+type lockCore struct {
+	holder *Thread
+	since  int64 // when holder was granted the lock
+	line   lineOwner
+	// queue holds the waiters in arrival order: those of every kind in
+	// sim mode, MCSLock's parked waiters on the host backend. A
+	// waiter's start time and the holder it waited behind live on its
+	// own stack.
+	queue []*Thread
+
+	maxWaiters                          atomic.Int32
+	acquires, contended, waitNs, holdNs atomic.Int64
+}
+
+// acquired records one acquisition by t. queued is the number of
+// waiters, t included, when t had to queue, or 0 when the lock was
+// free.
+func (c *lockCore) acquired(t *Thread, queued int) {
+	c.acquires.Add(1)
+	t.eng.Tel.LockAcquire(t.Proc)
+	if queued == 0 {
+		return
+	}
+	c.contended.Add(1)
+	for n := int32(queued); ; {
+		old := c.maxWaiters.Load()
+		if n <= old || c.maxWaiters.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+// waited records the wait t began at start, behind a holder on
+// holderProc (-1 if unknown), now that t holds the lock.
+func (c *lockCore) waited(t *Thread, name string, start int64, holderProc int) {
+	wait := t.Now() - start
+	c.waitNs.Add(wait)
+	t.eng.Rec.LockWait(t.Proc, name, start, wait, holderProc)
+	t.eng.Tel.LockWait(t.Proc, name, wait, holderProc)
+}
+
+// held records the hold that t, the holder, is about to end.
+func (c *lockCore) held(t *Thread, name string) {
+	hold := t.Now() - c.since
+	c.holdNs.Add(hold)
+	t.eng.Rec.LockHold(t.Proc, name, c.since, hold)
+	t.eng.Tel.LockHold(t.Proc, hold)
+}
+
+// Stats returns a snapshot of the accumulated statistics.
+func (c *lockCore) Stats() LockStats {
+	return LockStats{
+		Acquires:   c.acquires.Load(),
+		Contended:  c.contended.Load(),
+		WaitNs:     c.waitNs.Load(),
+		HoldNs:     c.holdNs.Load(),
+		MaxWaiters: int(c.maxWaiters.Load()),
+	}
+}
+
+// checkHolder panics unless t holds the lock.
+func (c *lockCore) checkHolder(t *Thread, kind LockKind, name string) {
+	if c.holder != t {
+		panic(nonHolder(t, kind, name))
+	}
+}
+
+func nonHolder(t *Thread, kind LockKind, name string) string {
+	return "sim: " + kind.String() + " " + name + " released by non-holder " + t.name
+}
+
+// simAcquire is the sim-mode acquire of every kind. charge is the
+// kind's atomic step on the lock word.
+func (c *lockCore) simAcquire(t *Thread, kind LockKind, name string, charge int64) {
+	t.Sync()
+	s := &t.eng.C.Sync
+	t.ChargeRand(charge)
+	c.line.touch(t)
+	if c.holder == nil {
+		c.acquired(t, 0)
+		c.holder = t
+		c.since = t.Now()
+		t.Charge(s.LockEnter)
+		return
+	}
+	if kind == KindMutex {
+		// The spinner's first backoff gap. Its value is unused: the
+		// winner's probe delay is drawn at release. The draw stays
+		// because dropping it would shift every later draw from this
+		// thread's random stream, and so every simulated result.
+		t.rng.Jitter(s.BackoffMin, t.eng.C.JitterFrac)
+	}
+	start, holderProc := t.Now(), c.holder.Proc
+	c.queue = append(c.queue, t)
+	c.acquired(t, len(c.queue))
+	t.block(kind.String(), name)
+	// The releaser has made t the holder and set its grant time.
+	c.waited(t, name, start, holderProc)
+	t.Charge(s.LockEnter)
+}
+
+// simRelease is the sim-mode release of every kind: the lock goes to
+// the kind's chosen waiter at the kind's grant time, or becomes free.
+func (c *lockCore) simRelease(t *Thread, kind LockKind, name string) {
+	t.Sync()
+	c.checkHolder(t, kind, name)
+	s := &t.eng.C.Sync
+	t.Charge(s.LockExit)
+	c.held(t, name)
+	if len(c.queue) == 0 {
+		c.holder = nil
+		return
+	}
+	var w *Thread
+	grantAt := t.Now()
+	if kind == KindMutex {
+		// Bus arbitration: a random spinner among the few
+		// longest-waiting ones wins the race for the freed lock word
+		// (newer arrivals are still settling into their spin loops).
+		// Its probe lands within one backoff gap of the release.
+		w = takeAt(&c.queue, t.rng.Intn(min(max(s.ArbWindow, 1), len(c.queue))))
+		grantAt += int64(w.rng.Uint64()%uint64(max(s.BackoffMin, 1))) + s.LockProbe
+		if !s.SyncBus && w.Proc != t.Proc {
+			grantAt += s.Coherence
+		}
+	} else {
+		// FIFO: the queue head. A ticket lock's handoff invalidates the
+		// now-serving counter in every remaining spinner's cache.
+		w = takeAt(&c.queue, 0)
+		grantAt += s.Handoff
+		if kind == KindTicket && !s.SyncBus {
+			grantAt += s.Coherence * int64(len(c.queue))
+		}
+	}
+	c.holder = w
+	c.since = grantAt
+	c.line = lineOwner(w.Proc + 1)
+	t.eng.Wake(w, grantAt)
 }
 
 // ---- Mutex: unfair test-and-set lock with exponential backoff ----
@@ -56,34 +231,11 @@ func chargeLine(t *Thread, lastProc *int) {
 // the gradual ramp of the paper's Table 1.
 type Mutex struct {
 	Name string
+	lockCore
 
-	held      bool
-	holder    *Thread
-	heldSince int64
-	lastProc  int
-	waiters   []*mutexWaiter
-	stats     LockStats
-	inited    bool
-
-	// hm is the host-backend lock state (see host.go); unused in sim
-	// mode.
-	hm hostMutex
-}
-
-type mutexWaiter struct {
-	t          *Thread
-	arrival    int64
-	gap        int64
-	nextProbe  int64
-	waitStart  int64
-	holderProc int // processor holding the lock when the wait began
-}
-
-func (m *Mutex) init() {
-	if !m.inited {
-		m.lastProc = -1
-		m.inited = true
-	}
+	// word and spinning are the host backend's lock word and spinner
+	// count (see host.go); unused in sim mode.
+	word, spinning atomic.Int32
 }
 
 // Acquire blocks until the calling thread holds the lock.
@@ -92,105 +244,17 @@ func (m *Mutex) Acquire(t *Thread) {
 		m.hostAcquire(t)
 		return
 	}
-	t.Sync()
-	m.init()
-	s := &t.eng.C.Sync
-	t.ChargeRand(s.LockProbe)
-	chargeLine(t, &m.lastProc)
-	m.stats.Acquires++
-	t.eng.Tel.LockAcquire(t.Proc)
-	if !m.held {
-		m.held = true
-		m.holder = t
-		m.heldSince = t.Now()
-		t.Charge(s.LockEnter)
-		return
-	}
-	w := &mutexWaiter{
-		t:          t,
-		arrival:    t.Now(),
-		gap:        t.rng.Jitter(s.BackoffMin, t.eng.C.JitterFrac),
-		waitStart:  t.Now(),
-		holderProc: m.holder.Proc,
-	}
-	if w.gap < 1 {
-		w.gap = 1
-	}
-	w.nextProbe = w.arrival + w.gap
-	m.waiters = append(m.waiters, w)
-	m.stats.Contended++
-	if len(m.waiters) > m.stats.MaxWaiters {
-		m.stats.MaxWaiters = len(m.waiters)
-	}
-	t.Block("mutex " + m.Name)
-	// The releaser has made us the holder and set our wake time.
-	wait := t.Now() - w.waitStart
-	m.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, m.Name, w.waitStart, wait, w.holderProc)
-	t.eng.Tel.LockWait(t.Proc, m.Name, wait, w.holderProc)
-	t.Charge(s.LockEnter)
+	m.simAcquire(t, KindMutex, m.Name, t.eng.C.Sync.LockProbe)
 }
 
-// Release unlocks; if waiters exist, the earliest-probing one is granted
-// ownership directly.
+// Release unlocks; if waiters exist, one of the longest-waiting
+// spinners is granted ownership directly.
 func (m *Mutex) Release(t *Thread) {
 	if t.eng.host != nil {
 		m.hostRelease(t)
 		return
 	}
-	t.Sync()
-	if !m.held || m.holder != t {
-		panic("sim: Mutex.Release by non-holder: " + m.Name)
-	}
-	s := &t.eng.C.Sync
-	t.Charge(s.LockExit)
-	hold := t.Now() - m.heldSince
-	m.stats.HoldNs += hold
-	t.eng.Rec.LockHold(t.Proc, m.Name, m.heldSince, hold)
-	t.eng.Tel.LockHold(t.Proc, hold)
-	if len(m.waiters) == 0 {
-		m.held = false
-		m.holder = nil
-		return
-	}
-	r := t.Now()
-	// Bus arbitration: a random spinner among the few longest-waiting
-	// ones wins the race for the freed lock word (newer arrivals are
-	// still settling into their spin loops). Its probe lands within one
-	// backoff gap of the release.
-	window := s.ArbWindow
-	if window < 1 {
-		window = 1
-	}
-	if window > len(m.waiters) {
-		window = len(m.waiters)
-	}
-	best := t.rng.Intn(window)
-	w := m.waiters[best]
-	m.waiters = append(m.waiters[:best], m.waiters[best+1:]...)
-	gap := s.BackoffMin
-	if gap < 1 {
-		gap = 1
-	}
-	grantAt := r + int64(w.t.rng.Uint64()%uint64(gap)) + s.LockProbe
-	if !s.SyncBus && w.t.Proc != t.Proc {
-		grantAt += s.Coherence
-	}
-	m.holder = w.t
-	m.heldSince = grantAt
-	m.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
-}
-
-// Stats returns a copy of the accumulated statistics.
-func (m *Mutex) Stats() LockStats { return loadStats(&m.stats, int(m.hm.maxWait.Load())) }
-
-// Holder reports whether t currently holds the lock (for assertions).
-func (m *Mutex) Holder(t *Thread) bool {
-	if t.eng.host != nil {
-		return m.hm.holder.Load() == t
-	}
-	return m.held && m.holder == t
+	m.simRelease(t, KindMutex, m.Name)
 }
 
 // ---- MCSLock: FIFO queue lock (Mellor-Crummey & Scott) ----
@@ -200,103 +264,29 @@ func (m *Mutex) Holder(t *Thread) bool {
 // on its own cache line, handoff costs one line transfer.
 type MCSLock struct {
 	Name string
+	lockCore
 
-	held      bool
-	holder    *Thread
-	heldSince int64
-	lastProc  int
-	queue     []*mcsWaiter
-	stats     LockStats
-	inited    bool
-
-	// hq is the host-backend FIFO lock state (see host.go); unused in
-	// sim mode.
-	hq hostMCS
-}
-
-type mcsWaiter struct {
-	t          *Thread
-	waitStart  int64
-	holderProc int
-}
-
-func (m *MCSLock) init() {
-	if !m.inited {
-		m.lastProc = -1
-		m.inited = true
-	}
+	// mu guards holder and queue on the host backend (see host.go);
+	// unused in sim mode.
+	mu sync.Mutex
 }
 
 // Acquire enqueues FIFO and blocks until granted.
 func (m *MCSLock) Acquire(t *Thread) {
 	if t.eng.host != nil {
-		m.hq.acquire(t, &m.stats, m.Name)
+		m.hostAcquire(t)
 		return
 	}
-	t.Sync()
-	m.init()
-	s := &t.eng.C.Sync
-	t.ChargeRand(s.MCSSwap)
-	chargeLine(t, &m.lastProc)
-	m.stats.Acquires++
-	t.eng.Tel.LockAcquire(t.Proc)
-	if !m.held {
-		m.held = true
-		m.holder = t
-		m.heldSince = t.Now()
-		t.Charge(s.LockEnter)
-		return
-	}
-	w := &mcsWaiter{t: t, waitStart: t.Now(), holderProc: m.holder.Proc}
-	m.queue = append(m.queue, w)
-	m.stats.Contended++
-	if len(m.queue) > m.stats.MaxWaiters {
-		m.stats.MaxWaiters = len(m.queue)
-	}
-	t.Block("mcs " + m.Name)
-	wait := t.Now() - w.waitStart
-	m.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, m.Name, w.waitStart, wait, w.holderProc)
-	t.eng.Tel.LockWait(t.Proc, m.Name, wait, w.holderProc)
-	t.Charge(s.LockEnter)
+	m.simAcquire(t, KindMCS, m.Name, t.eng.C.Sync.MCSSwap)
 }
 
 // Release hands the lock to the queue head, if any.
 func (m *MCSLock) Release(t *Thread) {
 	if t.eng.host != nil {
-		m.hq.release(t, &m.stats, "mcs "+m.Name)
+		m.hostRelease(t)
 		return
 	}
-	t.Sync()
-	if !m.held || m.holder != t {
-		panic("sim: MCSLock.Release by non-holder: " + m.Name)
-	}
-	s := &t.eng.C.Sync
-	t.Charge(s.LockExit)
-	hold := t.Now() - m.heldSince
-	m.stats.HoldNs += hold
-	t.eng.Rec.LockHold(t.Proc, m.Name, m.heldSince, hold)
-	t.eng.Tel.LockHold(t.Proc, hold)
-	if len(m.queue) == 0 {
-		m.held = false
-		m.holder = nil
-		return
-	}
-	w := m.queue[0]
-	m.queue = m.queue[1:]
-	grantAt := t.Now() + s.Handoff
-	m.holder = w.t
-	m.heldSince = grantAt
-	m.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
-}
-
-// Stats returns a copy of the accumulated statistics.
-func (m *MCSLock) Stats() LockStats {
-	m.hq.mu.Lock()
-	hmax := m.hq.maxWait
-	m.hq.mu.Unlock()
-	return loadStats(&m.stats, hmax)
+	m.simRelease(t, KindMCS, m.Name)
 }
 
 // ---- TicketLock: FIFO, but all waiters spin on one counter ----
@@ -306,97 +296,32 @@ func (m *MCSLock) Stats() LockStats {
 // cache, so its cost grows with the number of waiters.
 type TicketLock struct {
 	Name string
+	lockCore
 
-	held      bool
-	holder    *Thread
-	heldSince int64
-	lastProc  int
-	queue     []*mcsWaiter
-	stats     LockStats
-	inited    bool
-
-	// hq is the host-backend ticket/serving pair (see host.go); unused
-	// in sim mode.
-	hq hostTicket
-}
-
-func (l *TicketLock) init() {
-	if !l.inited {
-		l.lastProc = -1
-		l.inited = true
-	}
+	// next and serving are the host backend's ticket pair (see
+	// host.go); unused in sim mode.
+	next, serving atomic.Int64
 }
 
 // Acquire takes a ticket (FIFO) and blocks until served.
 func (l *TicketLock) Acquire(t *Thread) {
 	if t.eng.host != nil {
-		l.hq.acquire(t, &l.stats)
+		l.hostAcquire(t)
 		return
 	}
-	t.Sync()
-	l.init()
-	s := &t.eng.C.Sync
-	t.ChargeRand(s.Atomic) // fetch-and-increment of the ticket counter
-	chargeLine(t, &l.lastProc)
-	l.stats.Acquires++
-	t.eng.Tel.LockAcquire(t.Proc)
-	if !l.held {
-		l.held = true
-		l.holder = t
-		l.heldSince = t.Now()
-		t.Charge(s.LockEnter)
-		return
-	}
-	w := &mcsWaiter{t: t, waitStart: t.Now(), holderProc: l.holder.Proc}
-	l.queue = append(l.queue, w)
-	l.stats.Contended++
-	if len(l.queue) > l.stats.MaxWaiters {
-		l.stats.MaxWaiters = len(l.queue)
-	}
-	t.Block("ticket " + l.Name)
-	wait := t.Now() - w.waitStart
-	l.stats.WaitNs += wait
-	t.eng.Rec.LockWait(t.Proc, l.Name, w.waitStart, wait, w.holderProc)
-	t.eng.Tel.LockWait(t.Proc, l.Name, wait, w.holderProc)
-	t.Charge(s.LockEnter)
+	// The charge is the fetch-and-increment of the ticket counter.
+	l.simAcquire(t, KindTicket, l.Name, t.eng.C.Sync.Atomic)
 }
 
 // Release serves the next ticket holder; the invalidation broadcast
 // charges the winner in proportion to the spinning crowd.
 func (l *TicketLock) Release(t *Thread) {
 	if t.eng.host != nil {
-		l.hq.release(t, &l.stats, l.Name)
+		l.hostRelease(t)
 		return
 	}
-	t.Sync()
-	if !l.held || l.holder != t {
-		panic("sim: TicketLock.Release by non-holder: " + l.Name)
-	}
-	s := &t.eng.C.Sync
-	t.Charge(s.LockExit)
-	hold := t.Now() - l.heldSince
-	l.stats.HoldNs += hold
-	t.eng.Rec.LockHold(t.Proc, l.Name, l.heldSince, hold)
-	t.eng.Tel.LockHold(t.Proc, hold)
-	if len(l.queue) == 0 {
-		l.held = false
-		l.holder = nil
-		return
-	}
-	w := l.queue[0]
-	l.queue = l.queue[1:]
-	grantAt := t.Now() + s.Handoff
-	if !s.SyncBus {
-		grantAt += s.Coherence * int64(len(l.queue))
-	}
-	l.holder = w.t
-	l.heldSince = grantAt
-	l.lastProc = w.t.Proc
-	t.eng.Wake(w.t, grantAt)
+	l.simRelease(t, KindTicket, l.Name)
 }
-
-// Stats returns a copy of the accumulated statistics.
-func (l *TicketLock) Stats() LockStats { return loadStats(&l.stats, int(l.hq.maxWait.Load())) }
 
 // LockKind selects a lock implementation for protocol state.
 type LockKind int

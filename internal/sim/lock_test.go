@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // exerciseLock runs n threads each acquiring the lock iters times,
@@ -220,5 +223,123 @@ func TestSyncBusMutexStillExcludes(t *testing.T) {
 			}
 		})
 	}
+	e.Run()
+}
+
+var allKinds = []LockKind{KindMutex, KindMCS, KindTicket}
+
+// TestLockObserversAgree checks that each lock event reaches the
+// statistics, the flight recorder and the telemetry sampler exactly
+// once: the three views of a contended run must agree to the count and
+// the nanosecond.
+func TestLockObserversAgree(t *testing.T) {
+	const procs, period = 4, 10_000
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := newTestEngine(12)
+			e.Rec = trace.New(procs, 64)
+			reg := telemetry.NewRegistry(4096)
+			e.Tel = telemetry.NewSampler(reg, period, procs)
+			l := NewLock(kind, "obs")
+			for i := 0; i < procs; i++ {
+				e.Spawn(fmt.Sprintf("w%d", i), i, func(th *Thread) {
+					for j := 0; j < 50; j++ {
+						th.ChargeRand(1000)
+						l.Acquire(th)
+						th.Charge(8000)
+						l.Release(th)
+					}
+				})
+			}
+			e.Run()
+			// Advance the clock past one more period boundary so the
+			// sampler snapshots the final counter values.
+			e.Spawn("tick", 0, func(th *Thread) { th.Sleep(2 * period) })
+			e.Run()
+
+			s := l.Stats()
+			if s.Contended == 0 {
+				t.Fatal("no contention")
+			}
+			h := e.Rec.WaitHistogram("obs")
+			if h.Count() != s.Contended || h.Sum() != s.WaitNs {
+				t.Errorf("recorder waits = %d / %d ns, stats = %d / %d ns",
+					h.Count(), h.Sum(), s.Contended, s.WaitNs)
+			}
+			top := e.Tel.TopLocks(1)
+			if len(top) != 1 || top[0].Name != "obs" || top[0].WaitNs != s.WaitNs || top[0].Contended != s.Contended {
+				t.Errorf("sampler attribution = %+v, stats = %+v", top, s)
+			}
+			final := map[string]int64{}
+			for _, se := range reg.Series() {
+				if _, v := se.Samples(); len(v) > 0 {
+					final[se.Name] += v[len(v)-1]
+				}
+			}
+			if final["lock-acquires"] != s.Acquires || final["lock-wait-ns"] != s.WaitNs || final["lock-hold-ns"] != s.HoldNs {
+				t.Errorf("per-proc counters sum to acquires %d, wait %d ns, hold %d ns; stats = %+v",
+					final["lock-acquires"], final["lock-wait-ns"], final["lock-hold-ns"], s)
+			}
+		})
+	}
+}
+
+// TestContendedAcquireDoesNotAllocate checks that waiting on a named
+// lock costs no heap allocation: doubling the number of contended
+// acquires must not add allocations beyond noise.
+func TestContendedAcquireDoesNotAllocate(t *testing.T) {
+	const threads = 4
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			var l Locker
+			run := func(per int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					e := newTestEngine(13)
+					l = NewLock(kind, "named")
+					for i := 0; i < threads; i++ {
+						e.Spawn("w", i, func(th *Thread) {
+							for j := 0; j < per; j++ {
+								l.Acquire(th)
+								th.Charge(5000)
+								l.Release(th)
+							}
+						})
+					}
+					e.Run()
+				})
+			}
+			short, long := run(1000), run(2000)
+			if s := l.Stats(); 2*s.Contended < s.Acquires {
+				t.Fatalf("only %d of %d acquires contended", s.Contended, s.Acquires)
+			}
+			extra := float64(threads * 1000)
+			if grow := long - short; grow > extra/100 {
+				t.Errorf("%v allocs for %v extra contended acquires (%.2f per acquire)", grow, extra, grow/extra)
+			}
+		})
+	}
+}
+
+func TestDeadlockDumpNamesLocks(t *testing.T) {
+	defer func() {
+		r := fmt.Sprint(recover())
+		for _, want := range []string{"deadlock", "mutex a", "mutex b"} {
+			if !strings.Contains(r, want) {
+				t.Errorf("dump lacks %q:\n%s", want, r)
+			}
+		}
+	}()
+	e := newTestEngine(14)
+	a, b := &Mutex{Name: "a"}, &Mutex{Name: "b"}
+	e.Spawn("ab", 0, func(th *Thread) {
+		a.Acquire(th)
+		th.Sleep(1000)
+		b.Acquire(th)
+	})
+	e.Spawn("ba", 1, func(th *Thread) {
+		b.Acquire(th)
+		th.Sleep(1000)
+		a.Acquire(th)
+	})
 	e.Run()
 }

@@ -20,6 +20,9 @@ type Queue struct {
 	closed   bool
 	notEmpty Cond
 	notFull  Cond
+	// fullWait and emptyWait are the deadlock-dump reasons of blocked
+	// producers and consumers, built once.
+	fullWait, emptyWait string
 
 	enqueued int64
 	dequeued int64
@@ -35,7 +38,12 @@ func NewQueue(name string, capacity int) *Queue {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	q := &Queue{Name: name, capacity: capacity}
+	q := &Queue{
+		Name:      name,
+		capacity:  capacity,
+		fullWait:  "queue full: " + name,
+		emptyWait: "queue empty: " + name,
+	}
 	q.lock.Name = "queue:" + name
 	q.notEmpty.L = &q.lock
 	q.notFull.L = &q.lock
@@ -47,8 +55,26 @@ func NewQueue(name string, capacity int) *Queue {
 func (q *Queue) Enqueue(t *Thread, item any) bool {
 	q.lock.Acquire(t)
 	for len(q.items) >= q.capacity && !q.closed {
-		q.notFull.Wait(t, "queue full: "+q.Name)
+		q.notFull.Wait(t, q.fullWait)
 	}
+	return q.push(t, item)
+}
+
+// TryEnqueue appends an item only if there is room; ok reports success.
+// Producers that must not block (to avoid circular waits among handoff
+// queues) use this and service their own queues while retrying.
+func (q *Queue) TryEnqueue(t *Thread, item any) bool {
+	q.lock.Acquire(t)
+	if len(q.items) >= q.capacity {
+		q.lock.Release(t)
+		return false
+	}
+	return q.push(t, item)
+}
+
+// push appends item unless the queue is closed; the caller holds the
+// lock, which push releases.
+func (q *Queue) push(t *Thread, item any) bool {
 	if q.closed {
 		q.lock.Release(t)
 		return false
@@ -72,27 +98,21 @@ func (q *Queue) Enqueue(t *Thread, item any) bool {
 func (q *Queue) Dequeue(t *Thread) (any, bool) {
 	q.lock.Acquire(t)
 	for len(q.items) == 0 && !q.closed {
-		q.notEmpty.Wait(t, "queue empty: "+q.Name)
+		q.notEmpty.Wait(t, q.emptyWait)
 	}
-	if len(q.items) == 0 {
-		q.lock.Release(t)
-		return nil, false
-	}
-	t.Charge(t.eng.C.Stack.QueueOp)
-	t.ChargeRand(t.eng.C.Stack.CtxSwitch)
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.depth.Store(int32(len(q.items)))
-	q.dequeued++
-	q.notFull.Signal(t)
-	q.lock.Release(t)
-	return item, true
+	return q.pop(t)
 }
 
 // TryDequeue removes the oldest item without blocking; ok reports
 // whether an item was available.
 func (q *Queue) TryDequeue(t *Thread) (any, bool) {
 	q.lock.Acquire(t)
+	return q.pop(t)
+}
+
+// pop removes the oldest item, if any; the caller holds the lock,
+// which pop releases.
+func (q *Queue) pop(t *Thread) (any, bool) {
 	if len(q.items) == 0 {
 		q.lock.Release(t)
 		return nil, false
@@ -106,27 +126,6 @@ func (q *Queue) TryDequeue(t *Thread) (any, bool) {
 	q.notFull.Signal(t)
 	q.lock.Release(t)
 	return item, true
-}
-
-// TryEnqueue appends an item only if there is room; ok reports success.
-// Producers that must not block (to avoid circular waits among handoff
-// queues) use this and service their own queues while retrying.
-func (q *Queue) TryEnqueue(t *Thread, item any) bool {
-	q.lock.Acquire(t)
-	if len(q.items) >= q.capacity || q.closed {
-		q.lock.Release(t)
-		return false
-	}
-	t.Charge(t.eng.C.Stack.QueueOp)
-	q.items = append(q.items, item)
-	q.depth.Store(int32(len(q.items)))
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
-	}
-	q.enqueued++
-	q.notEmpty.Signal(t)
-	q.lock.Release(t)
-	return true
 }
 
 // Close wakes every blocked producer and consumer; subsequent enqueues

@@ -8,9 +8,9 @@ package sim
 // The shared cells (Flag, Counter, RefCount, CountingLock ownership)
 // use Go atomics. In sim mode the engine serializes execution so the
 // atomics cost nothing extra and values stay deterministic; in host
-// mode they are what makes concurrent access race-clean. Virtual-time
-// charging (Sync, Charge, chargeLine) is sim-only and skipped on the
-// host backend.
+// mode they are what makes concurrent access race-clean. Each
+// operation has one body for both backends: virtual-time charging
+// (Sync, Charge, lineOwner.touch) does nothing on the host backend.
 
 import (
 	"sync"
@@ -86,90 +86,65 @@ func (m RefMode) String() string {
 // Section 5.2 eliminates. Both modes pay coherence when the count
 // bounces between processors.
 type RefCount struct {
-	mode     RefMode
-	v        atomic.Int32
-	lastProc int
-	pool     atomic.Pointer[Mutex]
-	inited   bool
+	mode RefMode
+	v    atomic.Int32
+	line lineOwner
+	pool atomic.Pointer[Mutex]
 }
 
 // Init sets the mode and initial value. Must be called before use.
 func (r *RefCount) Init(mode RefMode, v int32) {
 	r.mode = mode
 	r.v.Store(v)
-	r.lastProc = -1
+	r.line = 0
 	r.pool.Store(nil)
-	r.inited = true
 }
 
 // lock resolves this count's static pool lock (assigned round-robin on
-// first use, deterministically per engine).
+// first use, deterministically per engine in sim mode).
 func (r *RefCount) lock(t *Thread) *Mutex {
 	if p := r.pool.Load(); p != nil {
 		return p
 	}
 	e := t.eng
-	if h := e.host; h != nil {
-		h.mu.Lock()
-		if r.pool.Load() == nil {
-			r.pool.Store(&e.refPool[e.refSeq%len(e.refPool)])
-			e.refSeq++
-		}
-		h.mu.Unlock()
-		return r.pool.Load()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if p := r.pool.Load(); p != nil {
+		return p // assigned by another host thread meanwhile
 	}
-	r.pool.Store(&e.refPool[e.refSeq%len(e.refPool)])
+	p := &e.refPool[e.refSeq%len(e.refPool)]
 	e.refSeq++
-	return r.pool.Load()
+	r.pool.Store(p)
+	return p
 }
 
-// Incr atomically increments the count.
-func (r *RefCount) Incr(t *Thread) {
+// add applies delta and returns the new count.
+func (r *RefCount) add(t *Thread, delta int32) int32 {
 	if r.mode == RefAtomic {
-		if t.eng.host == nil {
-			t.Sync()
-			t.Charge(t.eng.C.Sync.Atomic)
-			chargeLine(t, &r.lastProc)
-		}
-		r.v.Add(1)
-		return
+		t.Sync()
+		t.Charge(t.eng.C.Sync.Atomic)
+		r.line.touch(t)
+		return r.v.Add(delta)
 	}
 	lk := r.lock(t)
 	lk.Acquire(t)
-	if t.eng.host == nil {
-		t.Charge(t.eng.C.Sync.RefLockedWork)
-		chargeLine(t, &r.lastProc)
-	}
-	r.v.Add(1)
+	t.Charge(t.eng.C.Sync.RefLockedWork)
+	r.line.touch(t)
+	nv := r.v.Add(delta)
 	lk.Release(t)
+	return nv
 }
+
+// Incr atomically increments the count.
+func (r *RefCount) Incr(t *Thread) { r.add(t, 1) }
 
 // Decr atomically decrements the count and reports whether it reached
 // zero (the caller then frees the object).
 func (r *RefCount) Decr(t *Thread) bool {
-	if r.mode == RefAtomic {
-		if t.eng.host == nil {
-			t.Sync()
-			t.Charge(t.eng.C.Sync.Atomic)
-			chargeLine(t, &r.lastProc)
-		}
-		nv := r.v.Add(-1)
-		if nv < 0 {
-			panic("sim: RefCount underflow")
-		}
-		return nv == 0
-	}
-	lk := r.lock(t)
-	lk.Acquire(t)
-	if t.eng.host == nil {
-		t.Charge(t.eng.C.Sync.RefLockedWork)
-		chargeLine(t, &r.lastProc)
-	}
-	nv := r.v.Add(-1)
+	nv := r.add(t, -1)
 	if nv < 0 {
 		panic("sim: RefCount underflow")
 	}
-	lk.Release(t)
 	return nv == 0
 }
 
@@ -181,106 +156,77 @@ func (r *RefCount) Value() int32 { return r.v.Load() }
 // lock, releases the lock, and later waits for its ticket to be called at
 // the point where the application requires order.
 type Sequencer struct {
-	next     uint64
-	serving  uint64
-	lastProc int
-	waiters  map[uint64]*Thread
-	inited   bool
-
-	// hostMu guards the fields above on the host backend, where the
-	// engine no longer serializes callers.
-	hostMu sync.Mutex
-}
-
-func (s *Sequencer) init() {
-	if !s.inited {
-		s.waiters = make(map[uint64]*Thread)
-		s.lastProc = -1
-		s.inited = true
-	}
+	// mu guards the fields below; it matters on the host backend,
+	// where the engine does not serialize callers, and is never held
+	// across Block.
+	mu      sync.Mutex
+	next    uint64
+	serving uint64
+	line    lineOwner
+	waiters map[uint64]*Thread
 }
 
 // Ticket draws the next ticket (atomic fetch-and-increment).
 func (s *Sequencer) Ticket(t *Thread) uint64 {
-	if t.eng.host != nil {
-		s.hostMu.Lock()
-		s.init()
-		n := s.next
-		s.next++
-		s.hostMu.Unlock()
-		return n
-	}
 	t.Sync()
-	s.init()
 	t.Charge(t.eng.C.Sync.Atomic)
-	chargeLine(t, &s.lastProc)
+	s.line.touch(t)
+	s.mu.Lock()
 	n := s.next
 	s.next++
+	s.mu.Unlock()
 	return n
 }
 
 // Wait blocks until ticket k is being served.
 func (s *Sequencer) Wait(t *Thread, k uint64) {
-	if t.eng.host != nil {
-		s.hostMu.Lock()
-		s.init()
-		if k <= s.serving {
-			s.hostMu.Unlock()
-			return
-		}
-		s.waiters[k] = t
-		s.hostMu.Unlock()
-		t.Block("sequencer")
-		return
-	}
 	t.Sync()
-	s.init()
-	chargeLine(t, &s.lastProc)
-	if s.serving == k {
+	s.line.touch(t)
+	s.mu.Lock()
+	if k <= s.serving {
+		served := k < s.serving
+		s.mu.Unlock()
+		if served {
+			panic("sim: Sequencer ticket already served")
+		}
 		return
 	}
-	if k < s.serving {
-		panic("sim: Sequencer ticket already served")
+	if s.waiters == nil {
+		s.waiters = make(map[uint64]*Thread)
 	}
 	s.waiters[k] = t
+	s.mu.Unlock()
 	t.Block("sequencer")
 }
 
 // Done advances service to the next ticket and wakes its waiter, if
 // parked.
 func (s *Sequencer) Done(t *Thread) {
-	if t.eng.host != nil {
-		s.hostMu.Lock()
-		s.init()
-		s.serving++
-		w := s.waiters[s.serving]
-		delete(s.waiters, s.serving)
-		s.hostMu.Unlock()
-		if w != nil {
-			w.hostWake()
-		}
-		return
-	}
 	t.Sync()
-	s.init()
 	t.Charge(t.eng.C.Sync.Atomic)
-	chargeLine(t, &s.lastProc)
+	s.line.touch(t)
+	s.mu.Lock()
 	s.serving++
-	if w, ok := s.waiters[s.serving]; ok {
+	w, ok := s.waiters[s.serving]
+	if ok {
 		delete(s.waiters, s.serving)
+	}
+	s.mu.Unlock()
+	if ok {
 		t.eng.Wake(w, t.Now()+t.eng.C.Sync.Coherence)
 	}
 }
 
 // Cond is a condition variable tied to a Locker, used for flow-control
 // blocking (a TCP sender waiting for window space). Callers hold L
-// around Wait/Signal/Broadcast (as condition variables require); on the
-// host backend an internal mutex additionally guards the waiter list so
-// a wake delivered between release and park is buffered, not lost.
+// around Wait/Signal/Broadcast (as condition variables require); mu
+// additionally guards the waiter list on the host backend, so a wake
+// delivered between release and park is buffered, not lost. mu is
+// never held across Block.
 type Cond struct {
 	L       Locker
+	mu      sync.Mutex
 	waiters []*Thread
-	hostMu  sync.Mutex
 }
 
 // Wait atomically releases the lock and blocks; on wakeup the lock is
@@ -288,16 +234,9 @@ type Cond struct {
 // Callers must re-check their predicate in a loop: host-mode wakeups
 // can be spurious with respect to the predicate.
 func (c *Cond) Wait(t *Thread, reason string) {
-	if t.eng.host != nil {
-		c.hostMu.Lock()
-		c.waiters = append(c.waiters, t)
-		c.hostMu.Unlock()
-		c.L.Release(t)
-		t.Block(reason)
-		c.L.Acquire(t)
-		return
-	}
+	c.mu.Lock()
 	c.waiters = append(c.waiters, t)
+	c.mu.Unlock()
 	c.L.Release(t)
 	t.Block(reason)
 	c.L.Acquire(t)
@@ -305,68 +244,39 @@ func (c *Cond) Wait(t *Thread, reason string) {
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast(t *Thread) {
-	if t.eng.host != nil {
-		c.hostMu.Lock()
-		ws := c.waiters
-		c.waiters = nil
-		c.hostMu.Unlock()
-		for _, w := range ws {
-			w.hostWake()
+	c.mu.Lock()
+	if len(c.waiters) > 0 {
+		at := t.Now() + t.eng.C.Sync.Coherence
+		for _, w := range c.waiters {
+			t.eng.Wake(w, at)
 		}
-		return
+		clear(c.waiters)
+		c.waiters = c.waiters[:0]
 	}
-	if len(c.waiters) == 0 {
-		return
-	}
-	at := t.Now() + t.eng.C.Sync.Coherence
-	for _, w := range c.waiters {
-		t.eng.Wake(w, at)
-	}
-	c.waiters = c.waiters[:0]
+	c.mu.Unlock()
 }
 
 // Signal wakes one waiter (FIFO).
 func (c *Cond) Signal(t *Thread) {
-	if t.eng.host != nil {
-		c.hostMu.Lock()
-		var w *Thread
-		if len(c.waiters) > 0 {
-			w = c.waiters[0]
-			c.waiters = c.waiters[1:]
-		}
-		c.hostMu.Unlock()
-		if w != nil {
-			w.hostWake()
-		}
-		return
+	c.mu.Lock()
+	if len(c.waiters) > 0 {
+		t.eng.Wake(takeAt(&c.waiters, 0), t.Now()+t.eng.C.Sync.Coherence)
 	}
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	t.eng.Wake(w, t.Now()+t.eng.C.Sync.Coherence)
+	c.mu.Unlock()
 }
 
 // Counter is a shared cell updated with atomic fetch-and-add (sequence
 // number allocation in the drivers, statistics that must be exact).
 type Counter struct {
-	v        atomic.Int64
-	lastProc int
-	inited   bool
+	v    atomic.Int64
+	line lineOwner
 }
 
 // Add charges one atomic op and returns the *previous* value.
 func (c *Counter) Add(t *Thread, delta int64) int64 {
-	if t.eng.host == nil {
-		t.Sync()
-		if !c.inited {
-			c.lastProc = -1
-			c.inited = true
-		}
-		t.Charge(t.eng.C.Sync.Atomic)
-		chargeLine(t, &c.lastProc)
-	}
+	t.Sync()
+	t.Charge(t.eng.C.Sync.Atomic)
+	c.line.touch(t)
 	return c.v.Add(delta) - delta
 }
 
